@@ -22,6 +22,12 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
+# The concurrent packages again at one and at four Ps: a single-core CI
+# host then still schedules shards, workers and broadcasters in parallel.
+echo "== go test -race -cpu 1,4 (concurrent packages)"
+go test -race -cpu 1,4 ./internal/checkpoint ./internal/sweep ./internal/jobs \
+    ./internal/autotune ./internal/system ./internal/telemetry
+
 echo "== benchmark smoke (one iteration each)"
 go test -run '^$' -bench . -benchtime 1x ./...
 
@@ -45,12 +51,22 @@ for pkg in internal/checkpoint internal/stats internal/jobs internal/tsdb intern
     echo "$pkg: $pct%"
 done
 
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+
+# Experiment output must not change by a byte: regenerate every experiment
+# at scale 0.05 and compare with the committed golden file. The build stamp
+# (line 1) and the per-experiment timing lines are the only host-dependent
+# lines, so they are dropped first.
+echo "== golden experiment output (scale 0.05)"
+go run ./cmd/experiments -run all -scale 0.05 > "$tmp/experiments.out"
+sed -e 1d -e '/^--- .* done in /d' "$tmp/experiments.out" > "$tmp/experiments.golden"
+cmp testdata/experiments_scale0.05.golden "$tmp/experiments.golden"
+
 # Sharded execution must agree with the sequential run: exact mode is
 # byte-identical (every boundary checkpoint-verified inside vrsim), and a
 # save/restore split run must reproduce the uninterrupted report exactly.
 echo "== checkpoint/shard vs sequential smoke"
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 go run ./cmd/vrsim -preset pops -scale 0.01 -json > "$tmp/seq.json"
 go run ./cmd/vrsim -preset pops -scale 0.01 -checkpoint "$tmp/ck.bin" -checkpoint-at 2000 > /dev/null
 go run ./cmd/vrsim -preset pops -scale 0.01 -restore "$tmp/ck.bin" -json > "$tmp/restored.json"

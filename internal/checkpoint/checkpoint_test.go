@@ -3,6 +3,7 @@ package checkpoint
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
@@ -275,4 +276,59 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(b)
+}
+
+// TestRestoreSharesNothing restores one checkpoint into two machines, runs
+// both concurrently to the end of the trace, and requires the checkpoint to
+// encode exactly as before: a restore must copy, never alias, the state it
+// reads, or a machine would write into the checkpoint as it runs.
+func TestRestoreSharesNothing(t *testing.T) {
+	for _, org := range []system.Organization{system.VR, system.RRNoInclusion} {
+		t.Run(org.String(), func(t *testing.T) {
+			cfg := testMachine(org, 2)
+			tc := testWorkload(t, "pops", 0.01, 2)
+			sig := signature(cfg, tc)
+			source := func() (trace.Reader, error) { return tracegen.MustNew(tc), nil }
+
+			src := build(t, cfg, tc)
+			r, _ := source()
+			cr := &countingReader{r: r}
+			if _, err := src.RunRefs(cr, uint64(tc.TotalRefs)/2); err != nil {
+				t.Fatal(err)
+			}
+			ck, err := Capture(src, sig, cr.n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ck.Encode()
+
+			machines := []*system.System{build(t, cfg, tc), build(t, cfg, tc)}
+			errs := make([]error, len(machines))
+			var wg sync.WaitGroup
+			for i, sys := range machines {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if errs[i] = Restore(sys, ck, sig); errs[i] != nil {
+						return
+					}
+					r, err := ResumeReader(source, ck)
+					if err != nil {
+						errs[i] = err
+						return
+					}
+					errs[i] = sys.Run(r)
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("machine %d: %v", i, err)
+				}
+			}
+			if !bytes.Equal(ck.Encode(), want) {
+				t.Fatal("running the restored machines changed the checkpoint they were restored from")
+			}
+		})
+	}
 }

@@ -42,7 +42,8 @@ type ShardOptions struct {
 	Signature string
 	// NewSystem builds one cold machine.
 	NewSystem func() (*system.System, error)
-	// Source regenerates the trace from its first record.
+	// Source regenerates the trace from its first record. Shards call it
+	// from parallel workers, so it must be safe for concurrent use.
 	Source func() (trace.Reader, error)
 }
 

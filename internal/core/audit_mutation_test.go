@@ -319,3 +319,123 @@ func TestMutationDetectedInAllOrgs(t *testing.T) {
 		})
 	}
 }
+
+// corruptibleVR runs a V-R machine through a write and a read, and checks
+// it is clean before the caller corrupts it.
+func corruptibleVR(t *testing.T) (*rig, *VR) {
+	t.Helper()
+	r := newRig(t, 1, vrMk, nil)
+	r.write(0, 1, 0x100)
+	r.read(0, 1, 0x200)
+	requireClean(t, r)
+	return r, vrOf(t, r, 0)
+}
+
+// firstResident returns the location of the first resident V line.
+func firstResident(h *VR) (set, way int) {
+	found := false
+	h.vcs[0].ForEachPresent(func(s, w int, _ *vcache.Line) {
+		if !found {
+			set, way = s, w
+			found = true
+		}
+	})
+	return set, way
+}
+
+// firstChildless applies fn to the first R-cache subentry with no
+// first-level child and reports whether there was one.
+func firstChildless(h *VR, fn func(se *rcache.SubEntry)) bool {
+	done := false
+	h.rc.ForEachValid(func(_, _ int, l *rcache.Line) {
+		for i := range l.Subs {
+			if !done && !l.Subs[i].HasChild() {
+				fn(&l.Subs[i])
+				done = true
+			}
+		}
+	})
+	return done
+}
+
+func TestCheckDetectsClearedInclusion(t *testing.T) {
+	r, h := corruptibleVR(t)
+	set, way := firstResident(h)
+	rp := h.vcs[0].Line(set, way).RPtr
+	h.rc.Sub(rp.Set, rp.Way, rp.Sub).Inclusion = false
+	requireFlagged(t, r, audit.InvInclusion, true)
+}
+
+func TestCheckDetectsBrokenVPointer(t *testing.T) {
+	r, h := corruptibleVR(t)
+	set, way := firstResident(h)
+	rp := h.vcs[0].Line(set, way).RPtr
+	h.rc.Sub(rp.Set, rp.Way, rp.Sub).VPtr = rcache.VPtr{Cache: 0, Set: set + 1, Way: way}
+	requireFlagged(t, r, audit.InvReciprocity, true)
+}
+
+func TestCheckDetectsDirtyMismatch(t *testing.T) {
+	r, h := corruptibleVR(t)
+	set, way := firstResident(h)
+	l := h.vcs[0].Line(set, way)
+	l.Dirty = !l.Dirty
+	requireFlagged(t, r, audit.InvDirtyBits, true)
+}
+
+func TestCheckDetectsPhantomBufferBit(t *testing.T) {
+	r, h := corruptibleVR(t)
+	if !firstChildless(h, func(se *rcache.SubEntry) { se.Buffer, se.VDirty = true, true }) {
+		t.Fatal("no childless subentry to corrupt")
+	}
+	requireFlagged(t, r, audit.InvBufferBit, true)
+}
+
+func TestCheckDetectsDanglingVDirty(t *testing.T) {
+	r, h := corruptibleVR(t)
+	if !firstChildless(h, func(se *rcache.SubEntry) { se.VDirty = true }) {
+		t.Fatal("no childless subentry to corrupt")
+	}
+	requireFlagged(t, r, audit.InvDirtyBits, true)
+}
+
+func TestCheckDetectsOrphanedParentLine(t *testing.T) {
+	r, h := corruptibleVR(t)
+	set, way := firstResident(h)
+	rp := h.vcs[0].Line(set, way).RPtr
+	h.rc.Invalidate(rp.Set, rp.Way) // the parent vanishes under its child
+	requireFlagged(t, r, audit.InvInclusion, true)
+}
+
+func TestCheckDetectsCountMismatch(t *testing.T) {
+	r, h := corruptibleVR(t)
+	// An extra inclusion bit whose v-pointer names a line another subentry
+	// already owns: the counts diverge and the round trip fails.
+	set, way := firstResident(h)
+	if !firstChildless(h, func(se *rcache.SubEntry) {
+		se.Inclusion = true
+		se.VPtr = rcache.VPtr{Cache: 0, Set: set, Way: way}
+	}) {
+		t.Fatal("no childless subentry to corrupt")
+	}
+	requireFlagged(t, r, audit.InvInclusion, false)
+	requireFlagged(t, r, audit.InvReciprocity, false)
+}
+
+func TestNoInclusionCheckDetectsSharedDirty(t *testing.T) {
+	r := newRig(t, 1, niMk, nil)
+	r.write(0, 1, 0x100)
+	h := r.hs[0].(*RRNoInclusion)
+	// The baseline holds dirty data privately; a shared dirty L1 line is
+	// the corruption.
+	corrupted := false
+	h.l1.ForEachValid(func(set, way int) {
+		if l := h.l1.Line(set, way); l.dirty {
+			l.state = rcache.Shared
+			corrupted = true
+		}
+	})
+	if !corrupted {
+		t.Fatal("no dirty line to corrupt")
+	}
+	requireFlagged(t, r, audit.InvCoherence, true)
+}

@@ -76,10 +76,8 @@ func newRig(t *testing.T, n int, mk mkFunc, tweak func(*Options)) *rig {
 func (r *rig) access(cpu int, kind trace.Kind, pid addr.PID, va addr.VAddr) AccessResult {
 	r.t.Helper()
 	res := r.hs[cpu].Access(trace.Ref{CPU: uint8(cpu), Kind: kind, PID: pid, Addr: va})
-	for i, h := range r.hs {
-		if err := h.Check(); err != nil {
-			r.t.Fatalf("cpu %d invariants after %v %v by cpu %d: %v", i, kind, va, cpu, err)
-		}
+	if found := machineSnapshot(r).Check(); len(found) != 0 {
+		r.t.Fatalf("invariants after %v %v by cpu %d: %v", kind, va, cpu, found[0])
 	}
 	if !res.CtxSwitch {
 		if kind == trace.Write {
@@ -611,11 +609,7 @@ func TestDrainFlushesBuffer(t *testing.T) {
 	r.write(0, 1, 0x000)
 	r.read(0, 1, 0x080) // dirty victim parked in buffer
 	r.hs[0].Drain()
-	for _, h := range r.hs {
-		if err := h.Check(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	requireClean(t, r)
 }
 
 func TestOptionValidation(t *testing.T) {

@@ -505,13 +505,10 @@ func (m *Manager) run(ctx context.Context, j *job) ([]byte, error) {
 	return nil, fmt.Errorf("jobs: unknown kind %q", j.cfg.Kind)
 }
 
-// finalize records a terminal state and persists the spec.
+// finalize records a terminal state and persists the spec. The lifecycle
+// counter moves before finalize publishes the state, so a caller who has
+// waited for a run to finish also sees it counted.
 func (m *Manager) finalize(j *job, state, errMsg string) {
-	j.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	j.mu.Unlock()
-	m.persistLocked(j)
 	m.mu.Lock()
 	switch state {
 	case StateDone:
@@ -522,6 +519,11 @@ func (m *Manager) finalize(j *job, state, errMsg string) {
 		m.stats.Canceled++
 	}
 	m.mu.Unlock()
+	j.mu.Lock()
+	j.state = state
+	j.errMsg = errMsg
+	j.mu.Unlock()
+	m.persistLocked(j)
 	if errMsg != "" {
 		m.log.Warn("job finished", "job", j.id, "state", state, "err", errMsg)
 	} else {

@@ -286,17 +286,30 @@ func (r *RCache) ExportState() cache.State[Line] {
 
 // RestoreState replaces the tag store's contents. Each restored line's
 // subentry slice must be empty (never-touched payload) or exactly
-// SubsPerLine long; the cache takes deep copies.
+// SubsPerLine long; the cache takes deep copies and never writes into s, so
+// one state can be restored into many caches, concurrently.
 func (r *RCache) RestoreState(s cache.State[Line]) error {
 	for i := range s.Ways {
 		if n := len(s.Ways[i].Line.Subs); n != 0 && n != r.subs {
 			return fmt.Errorf("rcache: state way %d has %d subentries, want 0 or %d", i, n, r.subs)
 		}
 	}
-	for i := range s.Ways {
-		s.Ways[i].Line.Subs = append([]SubEntry(nil), s.Ways[i].Line.Subs...)
+	if err := r.tags.RestoreState(s); err != nil {
+		return err
 	}
-	return r.tags.RestoreState(s)
+	// The tag store copied the lines shallowly: move every subentry slice
+	// into the cache's own slab (an empty one Line fills on first use).
+	r.tags.ForEach(func(set, way int) {
+		l := r.tags.Line(set, way)
+		if len(l.Subs) == 0 {
+			l.Subs = nil
+			return
+		}
+		subs := r.newSubs()
+		copy(subs, l.Subs)
+		l.Subs = subs
+	})
+	return nil
 }
 
 // ForEachValid visits every valid line.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestDMAWriteInvalidatesCaches(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	// CPU 0 caches a block.
 	res, err := s.Apply(trace.Ref{CPU: 0, Kind: trace.Read, PID: 1, Addr: 0x100})
 	if err != nil {
@@ -31,7 +31,7 @@ func TestDMAWriteInvalidatesCaches(t *testing.T) {
 }
 
 func TestDMAReadFlushesDirtyCopy(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	res, err := s.Apply(trace.Ref{CPU: 0, Kind: trace.Write, PID: 1, Addr: 0x200})
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestDMAWritePreservesUnrelatedDirtySub(t *testing.T) {
 	// An L2 line spans two L1 blocks. The CPU dirties one sub-block; the
 	// device writes the *other*. The invalidation of the shared L2 line
 	// must not lose the CPU's dirty data (it is flushed to memory first).
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	w, err := s.Apply(trace.Ref{CPU: 0, Kind: trace.Write, PID: 1, Addr: 0x100})
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestDMAWritePreservesUnrelatedDirtySub(t *testing.T) {
 }
 
 func TestDMATransfers(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	dma := s.NewDMA()
 	if n := dma.TransferIn(0x400, 64); n != 4 {
 		t.Errorf("TransferIn wrote %d blocks, want 4", n)
@@ -97,7 +97,7 @@ func TestDMATransfers(t *testing.T) {
 
 func TestDMAWithAllOrganizations(t *testing.T) {
 	for _, org := range []Organization{VR, RRInclusion, RRNoInclusion} {
-		s := MustNew(smallConfig(org))
+		s := MustNew(smallConfig(t, org))
 		w, err := s.Apply(trace.Ref{CPU: 0, Kind: trace.Write, PID: 1, Addr: 0x300})
 		if err != nil {
 			t.Fatal(err)
@@ -122,7 +122,7 @@ func TestDMAWithAllOrganizations(t *testing.T) {
 }
 
 func TestDMAInterleavedWithWorkload(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	dma := s.NewDMA()
 	// Interleave CPU traffic and device traffic over one page of physical
 	// memory; the oracle (enabled in smallConfig) checks every read.
@@ -147,9 +147,7 @@ func TestDMAInterleavedWithWorkload(t *testing.T) {
 			}
 		}
 	}
-	for i := range make([]struct{}, s.CPUs()) {
-		if err := s.CPU(i).Check(); err != nil {
-			t.Fatal(err)
-		}
+	if found := s.AuditSnapshot().Check(); len(found) != 0 {
+		t.Fatal(found[0])
 	}
 }

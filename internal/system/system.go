@@ -126,11 +126,9 @@ type Config struct {
 	Audit *audit.Auditor
 
 	// CheckOracle verifies on every read that the newest write to the
-	// physical block is observed. CheckInvariants additionally validates
-	// every hierarchy's structural invariants after every reference (slow;
-	// for tests).
-	CheckOracle     bool
-	CheckInvariants bool
+	// physical block is observed. To validate the structural invariants
+	// after every reference as well, set Audit to audit.New(1).
+	CheckOracle bool
 }
 
 func (c *Config) applyDefaults() {
@@ -327,13 +325,6 @@ func (s *System) Apply(ref trace.Ref) (core.AccessResult, error) {
 		} else if want := s.oracle[res.PA]; res.Token != want {
 			return res, fmt.Errorf("system: oracle violation: cpu %d %v %#x (pa %#x) read token %d, want %d",
 				ref.CPU, ref.Kind, uint64(ref.Addr), uint64(res.PA), res.Token, want)
-		}
-	}
-	if s.cfg.CheckInvariants {
-		for i, h := range s.cpus {
-			if err := h.Check(); err != nil {
-				return res, fmt.Errorf("system: cpu %d invariants after %v: %w", i, ref, err)
-			}
 		}
 	}
 	if s.aud != nil {

@@ -4,25 +4,35 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/cache"
 	"repro/internal/trace"
 )
 
-func smallConfig(org Organization) Config {
+// smallConfig is a tiny two-CPU machine that checks the data oracle on every
+// read and audits every structural invariant after every reference, failing
+// t at the first violation.
+func smallConfig(t *testing.T, org Organization) Config {
+	aud := audit.New(1)
+	aud.AddOnAudit(func(snap *audit.Snapshot, found []audit.Violation) {
+		if len(found) != 0 {
+			t.Fatalf("invariants after %d references: %v", snap.Refs, found[0])
+		}
+	})
 	return Config{
-		CPUs:            2,
-		Organization:    org,
-		PageSize:        64,
-		L1:              cache.Geometry{Size: 128, Block: 16, Assoc: 1},
-		L2:              cache.Geometry{Size: 512, Block: 32, Assoc: 2},
-		CheckOracle:     true,
-		CheckInvariants: true,
+		CPUs:         2,
+		Organization: org,
+		PageSize:     64,
+		L1:           cache.Geometry{Size: 128, Block: 16, Assoc: 1},
+		L2:           cache.Geometry{Size: 512, Block: 32, Assoc: 2},
+		CheckOracle:  true,
+		Audit:        aud,
 	}
 }
 
 func TestNewAllOrganizations(t *testing.T) {
 	for _, org := range []Organization{VR, RRInclusion, RRNoInclusion} {
-		s, err := New(smallConfig(org))
+		s, err := New(smallConfig(t, org))
 		if err != nil {
 			t.Fatalf("%v: %v", org, err)
 		}
@@ -33,22 +43,22 @@ func TestNewAllOrganizations(t *testing.T) {
 }
 
 func TestNewErrors(t *testing.T) {
-	cfg := smallConfig(VR)
+	cfg := smallConfig(t, VR)
 	cfg.CPUs = 300
 	if _, err := New(cfg); err == nil {
 		t.Error("300 CPUs accepted")
 	}
-	cfg = smallConfig(VR)
+	cfg = smallConfig(t, VR)
 	cfg.Organization = Organization(99)
 	if _, err := New(cfg); err == nil {
 		t.Error("unknown organization accepted")
 	}
-	cfg = smallConfig(VR)
+	cfg = smallConfig(t, VR)
 	cfg.L1.Size = 100
 	if _, err := New(cfg); err == nil {
 		t.Error("bad L1 accepted")
 	}
-	cfg = smallConfig(VR)
+	cfg = smallConfig(t, VR)
 	cfg.PageSize = 1000
 	if _, err := New(cfg); err == nil {
 		t.Error("bad page size accepted")
@@ -66,7 +76,7 @@ func TestOrganizationString(t *testing.T) {
 }
 
 func TestRunSmallTrace(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	refs := []trace.Ref{
 		{CPU: 0, Kind: trace.IFetch, PID: 1, Addr: 0x000},
 		{CPU: 0, Kind: trace.Read, PID: 1, Addr: 0x100},
@@ -87,7 +97,7 @@ func TestRunSmallTrace(t *testing.T) {
 }
 
 func TestRunRejectsUnknownCPU(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	refs := []trace.Ref{{CPU: 5, Kind: trace.Read, PID: 1, Addr: 0}}
 	if err := s.Run(trace.NewSliceReader(refs)); err == nil {
 		t.Fatal("record for CPU 5 accepted on 2-CPU machine")
@@ -95,7 +105,7 @@ func TestRunRejectsUnknownCPU(t *testing.T) {
 }
 
 func TestSharedWritesAcrossCPUs(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	seg := s.MMU().NewSegment(64)
 	if err := s.MMU().MapShared(1, 0x040, seg); err != nil {
 		t.Fatal(err)
@@ -119,7 +129,7 @@ func TestSharedWritesAcrossCPUs(t *testing.T) {
 }
 
 func TestAggregate(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	refs := []trace.Ref{
 		{CPU: 0, Kind: trace.Read, PID: 1, Addr: 0x000},
 		{CPU: 0, Kind: trace.Read, PID: 1, Addr: 0x004}, // L1 hit
@@ -143,7 +153,7 @@ func TestAggregate(t *testing.T) {
 }
 
 func TestCoherenceMessages(t *testing.T) {
-	s := MustNew(smallConfig(RRNoInclusion))
+	s := MustNew(smallConfig(t, RRNoInclusion))
 	refs := []trace.Ref{
 		{CPU: 0, Kind: trace.Read, PID: 1, Addr: 0x000},
 		{CPU: 1, Kind: trace.Read, PID: 2, Addr: 0x100},
@@ -182,14 +192,14 @@ func TestDefaultsApplied(t *testing.T) {
 }
 
 func TestStatsAccessors(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	if s.CPU(0) == nil || s.Stats(1) == nil || s.Memory() == nil {
 		t.Error("accessors returned nil")
 	}
 }
 
 func TestResetStats(t *testing.T) {
-	s := MustNew(smallConfig(VR))
+	s := MustNew(smallConfig(t, VR))
 	refs := []trace.Ref{
 		{CPU: 0, Kind: trace.Read, PID: 1, Addr: 0x000},
 		{CPU: 1, Kind: trace.Write, PID: 2, Addr: 0x100},
