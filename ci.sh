@@ -13,6 +13,11 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
+# Report only: the size of the non-test program, measured the same way in
+# every change so code-size targets can be tracked.
+echo "== non-test Go lines (outside perfbench/)"
+find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' | xargs cat | wc -l
+
 echo "== go vet"
 go vet ./...
 
@@ -72,6 +77,8 @@ go run ./cmd/vrsim -preset pops -scale 0.01 -checkpoint "$tmp/ck.bin" -checkpoin
 go run ./cmd/vrsim -preset pops -scale 0.01 -restore "$tmp/ck.bin" -json > "$tmp/restored.json"
 cmp "$tmp/seq.json" "$tmp/restored.json"
 go run ./cmd/vrsim -preset pops -scale 0.01 -shards 4 -shard-mode exact > /dev/null
+# Approximate mode (skip, warm up, measure each window) must run end to end.
+go run ./cmd/vrsim -preset pops -scale 0.01 -shards 4 -warmup 20000 > /dev/null
 
 # The cross-organization differential harness under the race detector, run
 # twice: every synonym strategy (v-pointer, reverse-lookup table, victim

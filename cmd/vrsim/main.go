@@ -316,25 +316,18 @@ func parseSize(s string) (uint64, error) {
 	return n * mult, nil
 }
 
-// parseOrg maps an -org spelling to the organization plus the orthogonal
+// parseOrg maps an -org spelling, case-insensitively and with the
+// "rrincl"/"noincl" aliases, to the organization plus the orthogonal
 // write-through first-level policy ("vr-wt", "rr-wt").
 func parseOrg(s string) (org system.Organization, writeThrough bool, err error) {
-	switch strings.ToLower(s) {
-	case "vr":
-		return system.VR, false, nil
-	case "rr", "rrincl":
-		return system.RRInclusion, false, nil
-	case "rrnoincl", "noincl":
-		return system.RRNoInclusion, false, nil
-	case "rlt":
-		return system.VRRLT, false, nil
-	case "vr-wt":
-		return system.VR, true, nil
-	case "rr-wt":
-		return system.RRInclusion, true, nil
-	default:
-		return 0, false, fmt.Errorf("unknown organization %q (vr, rr, rrnoincl, rlt, vr-wt, rr-wt)", s)
+	tok := strings.ToLower(s)
+	switch tok {
+	case "rrincl":
+		tok = "rr"
+	case "noincl":
+		tok = "rrnoincl"
 	}
+	return system.ParseOrganization(tok)
 }
 
 // buildProbe assembles the observability layer requested on the command
@@ -363,7 +356,7 @@ func buildProbe(o options, stdout io.Writer) (*probe.Probe, *probe.Windows, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		pr.AddSink(probe.NewChromeTrace(f))
+		pr.AddSink(telemetry.NewChromeTrace(f))
 	}
 	var windows *probe.Windows
 	if o.metricsEvery > 0 {

@@ -90,39 +90,6 @@ func orDefaultStr(vs []string, d string) []string {
 	return vs
 }
 
-// organization resolves a grammar token to (organization, write-through).
-func organization(tok string) (system.Organization, bool, error) {
-	switch tok {
-	case "vr":
-		return system.VR, false, nil
-	case "rr":
-		return system.RRInclusion, false, nil
-	case "rrnoincl":
-		return system.RRNoInclusion, false, nil
-	case "rlt":
-		return system.VRRLT, false, nil
-	case "vr-wt":
-		return system.VR, true, nil
-	case "rr-wt":
-		return system.RRInclusion, true, nil
-	default:
-		return 0, false, fmt.Errorf("autotune: unknown organization %q", tok)
-	}
-}
-
-func policy(tok string) (cache.Policy, error) {
-	switch tok {
-	case "lru", "":
-		return cache.LRU, nil
-	case "fifo":
-		return cache.FIFO, nil
-	case "random":
-		return cache.Random, nil
-	default:
-		return 0, fmt.Errorf("autotune: unknown policy %q", tok)
-	}
-}
-
 // Expand takes the grammar's cross product for a machine with cpus
 // processors and pageSize-byte pages, dropping combinations that do not
 // form a legal hierarchy (a level smaller than one set, an L1 at least as
@@ -149,14 +116,14 @@ func (g Grammar) Expand(cpus int, pageSize uint64) ([]Candidate, error) {
 
 	var out []Candidate
 	for _, orgTok := range orgs {
-		org, wt, err := organization(orgTok)
+		org, wt, err := system.ParseOrganization(orgTok)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("autotune: %w", err)
 		}
 		for _, pol := range policies {
-			p, err := policy(pol)
+			p, err := cache.ParsePolicy(pol)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("autotune: %w", err)
 			}
 			for _, l1s := range l1Sizes {
 				for _, l1a := range l1Assocs {

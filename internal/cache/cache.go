@@ -40,6 +40,21 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy maps a replacement-policy token ("lru", "fifo", "random") to
+// its Policy; the empty token selects the default, LRU.
+func ParsePolicy(tok string) (Policy, error) {
+	switch tok {
+	case "lru", "":
+		return LRU, nil
+	case "fifo":
+		return FIFO, nil
+	case "random":
+		return Random, nil
+	default:
+		return 0, fmt.Errorf("unknown policy %q (lru, fifo, random)", tok)
+	}
+}
+
 // Geometry describes a cache's shape. All sizes are in bytes and must be
 // powers of two; Assoc of 1 is direct-mapped.
 type Geometry struct {

@@ -106,6 +106,21 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+func TestParsePolicy(t *testing.T) {
+	for tok, want := range map[string]Policy{"": LRU, "lru": LRU, "fifo": FIFO, "random": Random} {
+		if got, err := ParsePolicy(tok); err != nil || got != want {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", tok, got, err, want)
+		}
+	}
+	// The job server reports this text verbatim; "LRU" is not a token.
+	for _, tok := range []string{"clock", "LRU"} {
+		_, err := ParsePolicy(tok)
+		if want := `unknown policy "` + tok + `" (lru, fifo, random)`; err == nil || err.Error() != want {
+			t.Errorf("ParsePolicy(%q) error = %v, want %s", tok, err, want)
+		}
+	}
+}
+
 func TestNewRejectsBadGeometry(t *testing.T) {
 	if _, err := New[int](Geometry{Size: 5}, LRU, 0); err == nil {
 		t.Fatal("bad geometry accepted")

@@ -2,9 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/sweep"
 	"repro/internal/system"
@@ -21,8 +19,6 @@ import (
 type ShardOptions struct {
 	// Shards is the number of trace windows, K >= 1.
 	Shards int
-	// Workers bounds the worker goroutines (default GOMAXPROCS).
-	Workers int
 	// Warmup is the number of memory references simulated before each
 	// window in approximate mode to rebuild cache and TLB contents the
 	// shard did not simulate. Ignored in exact mode.
@@ -93,50 +89,14 @@ func ShardedRun(opts ShardOptions) (*system.System, *ShardOutcome, error) {
 	return approxRun(opts)
 }
 
-// skipTranslating discards n memory references from r while still walking
-// every reference through sys's MMU. Demand paging assigns frames in
-// first-touch order, so translating the skipped prefix gives the shard the
-// exact page tables the sequential run had at this point — frame layout,
-// and with it physical cache indexing, does not diverge. Costs a map
-// lookup per reference instead of a full simulation step.
-func skipTranslating(sys *system.System, r trace.Reader, n uint64) (uint64, error) {
-	mmu := sys.MMU()
-	buf := make([]trace.Ref, 4096)
-	var done uint64
-	for done < n {
-		// Never request more records than references still owed: a batch
-		// can then only reach the nth reference as its final record, so the
-		// reader is left positioned exactly where a record-at-a-time skip
-		// would leave it.
-		want := n - done
-		if want > uint64(len(buf)) {
-			want = uint64(len(buf))
-		}
-		got, err := trace.FillBatch(r, buf[:want])
-		for _, ref := range buf[:got] {
-			if ref.Kind == trace.CtxSwitch {
-				continue
-			}
-			mmu.Translate(ref.PID, ref.Addr)
-			done++
-		}
-		if errors.Is(err, io.EOF) {
-			return done, nil
-		}
-		if err != nil {
-			return done, err
-		}
-	}
-	return done, nil
-}
-
-// approxRun is the embarrassingly parallel mode: each shard rebuilds its
-// warm state by simulating a Warmup-reference prefix, measures its own
-// window, and the windows' statistics are merged.
+// approxRun is the embarrassingly parallel mode: each shard is one
+// RunWindow over its own trace pass — rebuild warm state by simulating a
+// Warmup-reference prefix, measure its own window — and the windows'
+// statistics are merged.
 func approxRun(opts ShardOptions) (*system.System, *ShardOutcome, error) {
 	bounds := opts.boundaries()
 	systems := make([]*system.System, opts.Shards)
-	err := sweep.Parallel(opts.Shards, opts.Workers, func(k int) error {
+	err := sweep.Parallel(opts.Shards, 0, func(k int) error {
 		sys, err := opts.NewSystem()
 		if err != nil {
 			return err
@@ -145,30 +105,9 @@ func approxRun(opts ShardOptions) (*system.System, *ShardOutcome, error) {
 		if err != nil {
 			return err
 		}
-		start, end := bounds[k], bounds[k+1]
-		warm := opts.Warmup
-		if warm > start {
-			warm = start
-		}
-		if n, err := skipTranslating(sys, r, start-warm); err != nil {
+		if err := RunWindow([]*system.System{sys}, r, Window{Start: bounds[k], End: bounds[k+1], Warmup: opts.Warmup}); err != nil {
 			return err
-		} else if n != start-warm {
-			return fmt.Errorf("trace ended %d references into a %d-reference skip", n, start-warm)
 		}
-		if n, err := sys.RunRefs(r, warm); err != nil {
-			return err
-		} else if n != warm {
-			return fmt.Errorf("trace ended %d references into a %d-reference warm-up", n, warm)
-		}
-		// Only the window is measured; the warm-up (and the skipped MMU
-		// walk's translation counters) are scaffolding.
-		sys.ResetStats()
-		if n, err := sys.RunRefs(r, end-start); err != nil {
-			return err
-		} else if n != end-start {
-			return fmt.Errorf("trace ended %d references into a %d-reference window", n, end-start)
-		}
-		sys.Drain()
 		systems[k] = sys
 		return nil
 	})
@@ -227,7 +166,7 @@ func exactRun(opts ShardOptions) (*system.System, *ShardOutcome, error) {
 	// Parallel pass: every shard resumes its checkpoint, runs its window,
 	// and must land byte-exactly on the next checkpoint.
 	final := make([]*system.System, opts.Shards)
-	err = sweep.Parallel(opts.Shards, opts.Workers, func(k int) error {
+	err = sweep.Parallel(opts.Shards, 0, func(k int) error {
 		sys, err := opts.NewSystem()
 		if err != nil {
 			return err

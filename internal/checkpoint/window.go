@@ -20,9 +20,9 @@ type Window struct {
 }
 
 // RunWindow drives every system through one approximate window off a single
-// shared pass over r — the inner cell of the autotuner's 2D (configurations
-// × time shards) schedule. It composes the sweep engine's fan-out with
-// ShardedRun's approximate mode: the skipped prefix is still translated
+// shared pass over r. Each shard of ShardedRun's approximate mode is one
+// call with a single system; the autotuner's 2D (configurations × time
+// shards) schedule calls it with G. The skipped prefix is still translated
 // through every system's MMU so demand paging assigns frames in first-touch
 // order (physical indexing cannot diverge from a full run), the warm-up is
 // simulated and then discarded by ResetStats, and only [Start, End) lands

@@ -1,10 +1,13 @@
 package checkpoint
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"testing"
 
 	"repro/internal/system"
+	"repro/internal/trace"
 	"repro/internal/tracegen"
 )
 
@@ -21,6 +24,44 @@ func windowSnapshot(sys *system.System) string {
 			st.CtxSwitches, st.Synonyms, st.Coherence.Total())
 	}
 	return s
+}
+
+// skipTranslating is the solo reference oracle for RunWindow's skip phase:
+// it discards n memory references from r while still walking every
+// reference through sys's MMU. Demand paging assigns frames in
+// first-touch order, so translating the skipped prefix gives the shard the
+// exact page tables the sequential run had at this point — frame layout,
+// and with it physical cache indexing, does not diverge. Costs a map
+// lookup per reference instead of a full simulation step.
+func skipTranslating(sys *system.System, r trace.Reader, n uint64) (uint64, error) {
+	mmu := sys.MMU()
+	buf := make([]trace.Ref, 4096)
+	var done uint64
+	for done < n {
+		// Never request more records than references still owed: a batch
+		// can then only reach the nth reference as its final record, so the
+		// reader is left positioned exactly where a record-at-a-time skip
+		// would leave it.
+		want := n - done
+		if want > uint64(len(buf)) {
+			want = uint64(len(buf))
+		}
+		got, err := trace.FillBatch(r, buf[:want])
+		for _, ref := range buf[:got] {
+			if ref.Kind == trace.CtxSwitch {
+				continue
+			}
+			mmu.Translate(ref.PID, ref.Addr)
+			done++
+		}
+		if errors.Is(err, io.EOF) {
+			return done, nil
+		}
+		if err != nil {
+			return done, err
+		}
+	}
+	return done, nil
 }
 
 // TestRunWindowMatchesPerSystem proves the shared-batch window run produces,

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/autotune"
+	"repro/internal/cache"
 	"repro/internal/cycles"
 	"repro/internal/system"
 	"repro/internal/tracegen"
@@ -345,15 +346,13 @@ func (m *MachineSpec) validate(field string) error {
 	if len(m.Label) > maxLabelLen {
 		return errf(field+".label", "longer than %d bytes", maxLabelLen)
 	}
-	switch m.Org {
-	case "", "vr", "rr", "rrnoincl", "rlt", "vr-wt", "rr-wt":
-	default:
-		return errf(field+".org", "unknown organization %q (vr, rr, rrnoincl, rlt, vr-wt, rr-wt)", m.Org)
+	if m.Org != "" {
+		if _, _, err := system.ParseOrganization(m.Org); err != nil {
+			return errf(field+".org", "%s", err)
+		}
 	}
-	switch m.Policy {
-	case "", "lru", "fifo", "random":
-	default:
-		return errf(field+".policy", "unknown policy %q (lru, fifo, random)", m.Policy)
+	if _, err := cache.ParsePolicy(m.Policy); err != nil {
+		return errf(field+".policy", "%s", err)
 	}
 	for _, v := range []struct {
 		name string

@@ -134,3 +134,25 @@ func TestDecodeConfigCanonicalStable(t *testing.T) {
 		}
 	}
 }
+
+// TestMachineTokenErrors pins the field and text of the organization and
+// policy rejections byte for byte: clients match on them, and the token
+// tables behind them are shared with the command line and the autotuner.
+func TestMachineTokenErrors(t *testing.T) {
+	cases := []struct{ config, want string }{
+		{`{"kind":"run","preset":"pops","machine":{"org":"psycho"}}`,
+			`machine.org: unknown organization "psycho" (vr, rr, rrnoincl, rlt, vr-wt, rr-wt)`},
+		{`{"kind":"run","preset":"pops","machine":{"org":"VR"}}`,
+			`machine.org: unknown organization "VR" (vr, rr, rrnoincl, rlt, vr-wt, rr-wt)`},
+		{`{"kind":"run","preset":"pops","machine":{"policy":"clock"}}`,
+			`machine.policy: unknown policy "clock" (lru, fifo, random)`},
+		{`{"kind":"sweep","preset":"pops","machines":[{},{"org":"noincl"}]}`,
+			`machines[1].org: unknown organization "noincl" (vr, rr, rrnoincl, rlt, vr-wt, rr-wt)`},
+	}
+	for _, tc := range cases {
+		_, err := DecodeConfig([]byte(tc.config))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("DecodeConfig(%s) = %v, want %s", tc.config, err, tc.want)
+		}
+	}
+}

@@ -8,9 +8,11 @@
 // The design goal is near-zero overhead when disabled: every component
 // holds a *Probe that may be nil, and every emission site is guarded by a
 // single nil check. When enabled, events flow through lock-free per-CPU
-// ring buffers and are delivered to attached Sinks (a human-readable log,
-// a Chrome trace_event exporter, a windowed-metrics collector, ...) in
-// global emission order.
+// ring buffers and are delivered to attached Sinks in global emission
+// order. This package provides two sinks, the human-readable Log and the
+// windowed-metrics collector Windows; the sinks that write trace files
+// (the Chrome trace_event exporter, the span tracer, the flight recorder,
+// the cycle-attribution profiler) live in internal/telemetry.
 package probe
 
 import (

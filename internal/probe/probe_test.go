@@ -2,7 +2,6 @@ package probe
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -176,48 +175,6 @@ func TestWindowsAsProbeSink(t *testing.T) {
 	}
 	if hits != 10 {
 		t.Errorf("hits across windows = %d", hits)
-	}
-}
-
-func TestChromeTraceValidJSON(t *testing.T) {
-	var buf bytes.Buffer
-	c := NewChromeTrace(&buf)
-	c.Event(Event{Seq: 1, Ref: 1, CPU: 0, Kind: EvL1Miss, Access: stats.KindRead, VA: 0x40, PA: 0x80})
-	c.Event(Event{Seq: 2, Ref: 1, CPU: 0, Kind: EvL2Hit, Access: stats.KindRead, VA: 0x40, PA: 0x80})
-	c.Event(Event{Seq: 3, Ref: 1, CPU: 1, Kind: EvCohInvalidate, PA: 0x80})
-	c.Event(Event{Seq: 4, Ref: 2, CPU: 0, Kind: EvCtxSwitch, Aux: CtxLazy})
-	if c.Events() != 4 {
-		t.Errorf("events = %d", c.Events())
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid trace JSON: %v\n%s", err, buf.String())
-	}
-	// 4 events + 2 process_name metadata records.
-	if len(doc.TraceEvents) != 6 {
-		t.Fatalf("traceEvents = %d records", len(doc.TraceEvents))
-	}
-	var sawMeta, sawX, sawInstant bool
-	for _, te := range doc.TraceEvents {
-		switch te["ph"] {
-		case "M":
-			sawMeta = true
-		case "X":
-			sawX = true
-			if te["dur"].(float64) <= 0 {
-				t.Error("X event without duration")
-			}
-		case "i":
-			sawInstant = true
-		}
-	}
-	if !sawMeta || !sawX || !sawInstant {
-		t.Errorf("missing phases: meta=%v X=%v i=%v", sawMeta, sawX, sawInstant)
 	}
 }
 

@@ -51,6 +51,28 @@ func (o Organization) String() string {
 	}
 }
 
+// ParseOrganization maps a hierarchy token — "vr", "rr", "rrnoincl", "rlt",
+// or a write-through first-level variant "vr-wt", "rr-wt" — to the
+// organization and whether its first level writes through.
+func ParseOrganization(tok string) (org Organization, writeThrough bool, err error) {
+	switch tok {
+	case "vr":
+		return VR, false, nil
+	case "rr":
+		return RRInclusion, false, nil
+	case "rrnoincl":
+		return RRNoInclusion, false, nil
+	case "rlt":
+		return VRRLT, false, nil
+	case "vr-wt":
+		return VR, true, nil
+	case "rr-wt":
+		return RRInclusion, true, nil
+	default:
+		return 0, false, fmt.Errorf("unknown organization %q (vr, rr, rrnoincl, rlt, vr-wt, rr-wt)", tok)
+	}
+}
+
 // Config describes a machine.
 type Config struct {
 	CPUs         int

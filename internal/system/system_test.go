@@ -232,3 +232,27 @@ func TestResetStats(t *testing.T) {
 		t.Error("post-reset accounting wrong")
 	}
 }
+
+func TestParseOrganization(t *testing.T) {
+	cases := map[string]struct {
+		org Organization
+		wt  bool
+	}{
+		"vr": {VR, false}, "rr": {RRInclusion, false}, "rrnoincl": {RRNoInclusion, false},
+		"rlt": {VRRLT, false}, "vr-wt": {VR, true}, "rr-wt": {RRInclusion, true},
+	}
+	for tok, want := range cases {
+		org, wt, err := ParseOrganization(tok)
+		if err != nil || org != want.org || wt != want.wt {
+			t.Errorf("ParseOrganization(%q) = %v, %v, %v; want %v, %v", tok, org, wt, err, want.org, want.wt)
+		}
+	}
+	// Tokens are exact: the command line's aliases and case folding live
+	// in cmd/vrsim, and the job server reports this text verbatim.
+	for _, tok := range []string{"", "VR", "noincl", "psycho"} {
+		_, _, err := ParseOrganization(tok)
+		if want := `unknown organization "` + tok + `" (vr, rr, rrnoincl, rlt, vr-wt, rr-wt)`; err == nil || err.Error() != want {
+			t.Errorf("ParseOrganization(%q) error = %v, want %s", tok, err, want)
+		}
+	}
+}

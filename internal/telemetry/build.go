@@ -6,8 +6,10 @@
 // the heavy hitters, and what the machine was doing in the moments before a
 // failure.
 //
-// Three tools live here, all attachable as probe Sinks:
+// Four tools live here, all attachable as probe Sinks:
 //
+//   - ChromeTrace: the raw event stream as Chrome trace_event JSON, one
+//     process per CPU and one lane per event category.
 //   - Tracer: sampled causal span trees, one per 1-in-N memory reference,
 //     assembled from the event stream with cycle boundaries reconstructed
 //     from the timing charges. Exported as nested Chrome trace_event spans
@@ -20,6 +22,9 @@
 //     breakdown of measured Tacc that reconciles exactly (to the cycle)
 //     with the engine's clocks, plus space-saving top-K heavy hitters
 //     (pages, cache sets, CPUs).
+//
+// The three JSON trace writers (ChromeTrace, ChromeSpanWriter, OTLPWriter)
+// share one emitter, jsonStream.
 //
 // Everything follows the repo's hot-path discipline: the per-event work of
 // an armed recorder or an unsampled reference is a few compares and adds,

@@ -1,12 +1,13 @@
-package probe
+package telemetry
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
+	"strconv"
+
+	"repro/internal/probe"
 )
 
-// ChromeTrace is a Sink that writes the event stream in the Chrome
+// ChromeTrace is a probe.Sink that writes the event stream in the Chrome
 // trace_event JSON format, loadable in chrome://tracing or Perfetto. Each
 // bus agent becomes a "process"; event categories become named threads
 // within it, so accesses, synonym resolutions, write-buffer traffic and
@@ -15,23 +16,18 @@ import (
 // durations from the paper's default latency scaling (t1=1, t2=4, tm=20),
 // everything else is an instant.
 type ChromeTrace struct {
-	w      *bufio.Writer
-	closer io.Closer // closed with the sink when the caller handed us ownership
-	n      int       // records written, including metadata
-	events int       // probe events written
-	err    error
+	out    jsonStream
+	events int // probe events written
 	named  map[int]bool
 }
 
 // NewChromeTrace creates an exporter writing to w. If w is also an
 // io.Closer (e.g. an *os.File), Close closes it after the footer.
 func NewChromeTrace(w io.Writer) *ChromeTrace {
-	c := &ChromeTrace{w: bufio.NewWriter(w), named: make(map[int]bool)}
-	if cl, ok := w.(io.Closer); ok {
-		c.closer = cl
+	return &ChromeTrace{
+		out:   newJSONStream(w, `{"displayTimeUnit":"ms","traceEvents":[`, "]}\n"),
+		named: make(map[int]bool),
 	}
-	c.raw(`{"displayTimeUnit":"ms","traceEvents":[`)
-	return c
 }
 
 // chromeEvent is one trace_event record.
@@ -48,7 +44,7 @@ type chromeEvent struct {
 }
 
 // laneOf maps an event category to a stable thread id.
-func laneOf(k Kind) int {
+func laneOf(k probe.Kind) int {
 	switch k.Category() {
 	case "access":
 		return 0
@@ -73,29 +69,29 @@ func laneOf(k Kind) int {
 
 // durOf returns the paper-scaled duration of an access event (0 for
 // instants).
-func durOf(k Kind) uint64 {
+func durOf(k probe.Kind) uint64 {
 	switch k {
-	case EvL1Hit:
+	case probe.EvL1Hit:
 		return 1
-	case EvL2Hit:
+	case probe.EvL2Hit:
 		return 4
-	case EvL2Miss:
+	case probe.EvL2Miss:
 		return 20
 	default:
 		return 0
 	}
 }
 
-// Event implements Sink.
-func (c *ChromeTrace) Event(ev Event) {
-	if c.err != nil {
+// Event implements probe.Sink.
+func (c *ChromeTrace) Event(ev probe.Event) {
+	if c.out.err != nil {
 		return
 	}
 	if !c.named[ev.CPU] {
 		c.named[ev.CPU] = true
-		c.record(chromeEvent{
+		c.out.record(chromeEvent{
 			Name: "process_name", Ph: "M", PID: ev.CPU,
-			Args: map[string]any{"name": processName(ev.CPU)},
+			Args: map[string]any{"name": "cpu" + strconv.Itoa(ev.CPU)},
 		})
 	}
 	ce := chromeEvent{
@@ -113,10 +109,10 @@ func (c *ChromeTrace) Event(ev Event) {
 	}
 	args := map[string]any{"seq": ev.Seq}
 	switch ev.Kind {
-	case EvL1Hit, EvL1Miss, EvL2Hit, EvL2Miss:
+	case probe.EvL1Hit, probe.EvL1Miss, probe.EvL2Hit, probe.EvL2Miss:
 		ce.Name = ev.Access.String() + " " + ce.Name
 		args["va"], args["pa"] = ev.VA, ev.PA
-	case EvCtxSwitch:
+	case probe.EvCtxSwitch:
 		args["flush"] = [...]string{"lazy", "eager", "none"}[ev.Aux]
 	default:
 		if ev.PA != 0 {
@@ -124,58 +120,8 @@ func (c *ChromeTrace) Event(ev Event) {
 		}
 	}
 	ce.Args = args
-	c.record(ce)
+	c.out.record(ce)
 	c.events++
-}
-
-func processName(id int) string {
-	return "cpu" + itoa(id)
-}
-
-// itoa avoids pulling strconv into the hot path for small ids.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	neg := n < 0
-	if neg {
-		n = -n
-	}
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
-}
-
-func (c *ChromeTrace) record(ce chromeEvent) {
-	b, err := json.Marshal(ce)
-	if err != nil {
-		c.err = err
-		return
-	}
-	if c.n > 0 {
-		c.raw(",\n")
-	}
-	c.n++
-	if _, err := c.w.Write(b); err != nil {
-		c.err = err
-	}
-}
-
-func (c *ChromeTrace) raw(s string) {
-	if c.err == nil {
-		if _, err := c.w.WriteString(s); err != nil {
-			c.err = err
-		}
-	}
 }
 
 // Events returns the number of probe events written so far (excluding
@@ -184,15 +130,4 @@ func (c *ChromeTrace) Events() int { return c.events }
 
 // Close writes the JSON footer and flushes (closing the underlying writer
 // when it is closable).
-func (c *ChromeTrace) Close() error {
-	c.raw("]}\n")
-	if err := c.w.Flush(); err != nil && c.err == nil {
-		c.err = err
-	}
-	if c.closer != nil {
-		if err := c.closer.Close(); err != nil && c.err == nil {
-			c.err = err
-		}
-	}
-	return c.err
-}
+func (c *ChromeTrace) Close() error { return c.out.close() }

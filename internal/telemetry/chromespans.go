@@ -1,37 +1,28 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 )
 
 // ChromeSpanWriter exports span trees in the Chrome trace_event format
-// (load into chrome://tracing or Perfetto). Unlike probe.ChromeTrace, which
-// plots raw events on category lanes, this exporter writes the *nested*
+// (load into chrome://tracing or Perfetto). Unlike ChromeTrace, which plots
+// raw probe events on category lanes, this exporter writes the *nested*
 // causal spans: complete ("X") events whose durations are cycle counts, so
 // the service interval visually contains its bus wait and the synonym
 // resolutions it triggered. Zero-width spans become instant ("i") events.
 type ChromeSpanWriter struct {
-	w      *bufio.Writer
-	closer io.Closer
-	n      int
-	err    error
+	out jsonStream
 }
 
 // NewChromeSpanWriter creates an exporter writing one JSON trace document
 // to w. If w is also an io.Closer (e.g. an *os.File), Close closes it.
 func NewChromeSpanWriter(w io.Writer) *ChromeSpanWriter {
-	c := &ChromeSpanWriter{w: bufio.NewWriter(w)}
-	if cl, ok := w.(io.Closer); ok {
-		c.closer = cl
-	}
-	c.raw(`{"displayTimeUnit":"ns","traceEvents":[`)
-	return c
+	return &ChromeSpanWriter{out: newJSONStream(w, `{"displayTimeUnit":"ns","traceEvents":[`, "]}\n")}
 }
 
-// chromeSpanEvent is one trace_event record.
+// chromeSpanEvent is one trace_event record. Its key order differs from
+// chromeEvent's, and the two are kept apart so neither file format shifts.
 type chromeSpanEvent struct {
 	Name  string         `json:"name"`
 	Phase string         `json:"ph"`
@@ -68,54 +59,18 @@ func (c *ChromeSpanWriter) ExportSpan(root *Span) error {
 		} else {
 			ev.Phase, ev.Scope = "i", "t"
 		}
-		c.record(ev)
+		c.out.record(ev)
 		for _, child := range sp.Children {
 			rec(child, depth+1)
 		}
 	}
 	rec(root, 0)
-	return c.err
-}
-
-func (c *ChromeSpanWriter) record(ev chromeSpanEvent) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		if c.err == nil {
-			c.err = err
-		}
-		return
-	}
-	if c.n > 0 {
-		c.raw(",\n")
-	}
-	c.n++
-	if _, err := c.w.Write(b); err != nil && c.err == nil {
-		c.err = err
-	}
-}
-
-func (c *ChromeSpanWriter) raw(s string) {
-	if c.err == nil {
-		if _, err := c.w.WriteString(s); err != nil {
-			c.err = err
-		}
-	}
+	return c.out.err
 }
 
 // Events returns the number of trace records written.
-func (c *ChromeSpanWriter) Events() int { return c.n }
+func (c *ChromeSpanWriter) Events() int { return c.out.n }
 
 // Close writes the footer and flushes (closing the underlying writer when
 // it is closable).
-func (c *ChromeSpanWriter) Close() error {
-	c.raw("]}\n")
-	if err := c.w.Flush(); err != nil && c.err == nil {
-		c.err = err
-	}
-	if c.closer != nil {
-		if err := c.closer.Close(); err != nil && c.err == nil {
-			c.err = err
-		}
-	}
-	return c.err
-}
+func (c *ChromeSpanWriter) Close() error { return c.out.close() }

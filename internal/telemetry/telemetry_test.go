@@ -429,3 +429,45 @@ func TestWriteTextAndDiffDeterministic(t *testing.T) {
 		t.Fatalf("diff output:\n%s", d.String())
 	}
 }
+
+func TestChromeTraceValidJSON(t *testing.T) {
+	var buf bytes.Buffer
+	c := NewChromeTrace(&buf)
+	c.Event(probe.Event{Seq: 1, Ref: 1, CPU: 0, Kind: probe.EvL1Miss, Access: stats.KindRead, VA: 0x40, PA: 0x80})
+	c.Event(probe.Event{Seq: 2, Ref: 1, CPU: 0, Kind: probe.EvL2Hit, Access: stats.KindRead, VA: 0x40, PA: 0x80})
+	c.Event(probe.Event{Seq: 3, Ref: 1, CPU: 1, Kind: probe.EvCohInvalidate, PA: 0x80})
+	c.Event(probe.Event{Seq: 4, Ref: 2, CPU: 0, Kind: probe.EvCtxSwitch, Aux: probe.CtxLazy})
+	if c.Events() != 4 {
+		t.Errorf("events = %d", c.Events())
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("invalid trace JSON: %v\n%s", err, buf.String())
+	}
+	// 4 events + 2 process_name metadata records.
+	if len(doc.TraceEvents) != 6 {
+		t.Fatalf("traceEvents = %d records", len(doc.TraceEvents))
+	}
+	var sawMeta, sawX, sawInstant bool
+	for _, te := range doc.TraceEvents {
+		switch te["ph"] {
+		case "M":
+			sawMeta = true
+		case "X":
+			sawX = true
+			if te["dur"].(float64) <= 0 {
+				t.Error("X event without duration")
+			}
+		case "i":
+			sawInstant = true
+		}
+	}
+	if !sawMeta || !sawX || !sawInstant {
+		t.Errorf("missing phases: meta=%v X=%v i=%v", sawMeta, sawX, sawInstant)
+	}
+}

@@ -28,8 +28,8 @@
 //
 // # Driving it
 //
-// Any Reader of trace records drives the machine; the tracegen-backed
-// workloads reproduce the paper's three ATUM-like traces:
+// Any stream of trace records drives the machine (System.Run); the
+// tracegen-backed workloads reproduce the paper's three ATUM-like traces:
 //
 //	wl := vrsim.PopsWorkload()
 //	err := vrsim.RunWorkload(sys, wl)
@@ -66,17 +66,6 @@ import (
 // associativity, all powers of two.
 type Geometry = cache.Geometry
 
-// Policy selects a cache level's replacement policy (Config.L1Policy and
-// Config.L2Policy); the zero value is LRU.
-type Policy = cache.Policy
-
-// Replacement policies.
-const (
-	LRU    = cache.LRU
-	FIFO   = cache.FIFO
-	Random = cache.Random
-)
-
 // Organization selects the cache organization of every CPU in a System.
 type Organization = system.Organization
 
@@ -105,9 +94,6 @@ type System = system.System
 // New builds a machine.
 func New(cfg Config) (*System, error) { return system.New(cfg) }
 
-// Stats is the per-CPU counter set exposed by System.Stats.
-type Stats = core.Stats
-
 // Protocol selects the bus coherence protocol.
 type Protocol = core.Protocol
 
@@ -123,17 +109,13 @@ const (
 // resolution, physical address, data token).
 type AccessResult = core.AccessResult
 
-// Ref is one trace record; Reader is a stream of them.
-type (
-	Ref    = trace.Ref
-	Reader = trace.Reader
-)
+// Ref is one trace record.
+type Ref = trace.Ref
 
-// Address and process-identifier types used in trace records and results.
+// Address types used in trace records and results.
 type (
 	VAddr = addr.VAddr
 	PAddr = addr.PAddr
-	PID   = addr.PID
 )
 
 // DMA is an I/O device on the bus (see System.NewDMA): it reads and writes
@@ -147,7 +129,6 @@ type DMA = system.DMA
 // controllers raise them.
 type (
 	Signal     = core.Signal
-	SignalKind = core.SignalKind
 	Tracer     = core.Tracer
 	TracerFunc = core.TracerFunc
 )
@@ -191,7 +172,7 @@ func RunWorkload(sys *System, cfg WorkloadConfig) error {
 }
 
 // Event tracing: a Probe attached through Config.Probe receives one typed
-// Event per paper mechanism exercised — cache hits and misses by level and
+// event per paper mechanism exercised — cache hits and misses by level and
 // reference kind, TLB activity and aborted lookups, synonym resolutions,
 // write-buffer traffic, inclusion invalidations, coherence messages reaching
 // (or shielded from) the first level, bus transactions, DMA, and context
@@ -201,88 +182,17 @@ type (
 	// Probe collects events; attach sinks with AddSink and Close at the
 	// end of a run.
 	Probe = probe.Probe
-	// Event is one typed occurrence in the machine.
-	Event = probe.Event
-	// EventKind discriminates events; its String form ("l1-hit",
-	// "syn-sameset", ...) keys the JSON report's probe.events map.
-	EventKind = probe.Kind
-	// EventSink consumes events in global emission order.
-	EventSink = probe.Sink
-	// EventCounts is the per-kind tally a Probe maintains inline.
-	EventCounts = probe.Counts
-	// WindowMetrics aggregates headline rates over a window of references.
-	WindowMetrics = probe.WindowMetrics
 	// MetricWindows folds the event stream into fixed-size windows.
 	MetricWindows = probe.Windows
-	// EventLog renders events as human-readable lines.
-	EventLog = probe.Log
-	// ChromeTrace exports the event stream as Chrome trace_event JSON.
-	ChromeTrace = probe.ChromeTrace
 )
 
 // NewProbe creates an enabled probe; ringCapacity 0 selects the default
 // per-CPU buffer size.
 func NewProbe(ringCapacity int) *Probe { return probe.New(ringCapacity) }
 
-// NewEventLog creates a line-oriented event log sink; filter may be nil.
-func NewEventLog(w io.Writer, filter func(Event) bool) *EventLog {
-	return probe.NewLog(w, filter)
-}
-
-// ParseEventFilter compiles a comma-separated list of event kind names or
-// categories into a predicate for NewEventLog.
-func ParseEventFilter(spec string) (func(Event) bool, error) { return probe.ParseFilter(spec) }
-
-// NewChromeTrace creates a Chrome trace_event JSON exporter writing to w.
-func NewChromeTrace(w io.Writer) *ChromeTrace { return probe.NewChromeTrace(w) }
-
 // NewMetricWindows creates a windowed-metrics collector with the given
 // window length in references.
 func NewMetricWindows(every uint64) *MetricWindows { return probe.NewWindows(every) }
-
-// Event kinds, one per paper mechanism.
-const (
-	EvL1Hit               = probe.EvL1Hit
-	EvL1Miss              = probe.EvL1Miss
-	EvL2Hit               = probe.EvL2Hit
-	EvL2Miss              = probe.EvL2Miss
-	EvTLBHit              = probe.EvTLBHit
-	EvTLBMiss             = probe.EvTLBMiss
-	EvTLBAbort            = probe.EvTLBAbort
-	EvSynSameSet          = probe.EvSynSameSet
-	EvSynMove             = probe.EvSynMove
-	EvSynCross            = probe.EvSynCross
-	EvSynBuffered         = probe.EvSynBuffered
-	EvWriteBack           = probe.EvWriteBack
-	EvWBEnqueue           = probe.EvWBEnqueue
-	EvWBDrain             = probe.EvWBDrain
-	EvWBCancel            = probe.EvWBCancel
-	EvWBFlush             = probe.EvWBFlush
-	EvWBStall             = probe.EvWBStall
-	EvInclusionInval      = probe.EvInclusionInval
-	EvCohInvalidate       = probe.EvCohInvalidate
-	EvCohFlush            = probe.EvCohFlush
-	EvCohInvalidateBuffer = probe.EvCohInvalidateBuffer
-	EvCohFlushBuffer      = probe.EvCohFlushBuffer
-	EvCohUpdate           = probe.EvCohUpdate
-	EvCohProbe            = probe.EvCohProbe
-	EvShielded            = probe.EvShielded
-	EvBusRead             = probe.EvBusRead
-	EvBusReadMod          = probe.EvBusReadMod
-	EvBusInvalidate       = probe.EvBusInvalidate
-	EvBusUpdate           = probe.EvBusUpdate
-	EvDMARead             = probe.EvDMARead
-	EvDMAWrite            = probe.EvDMAWrite
-	EvCtxSwitch           = probe.EvCtxSwitch
-	EvVictimHit           = probe.EvVictimHit
-	EvVictimInsert        = probe.EvVictimInsert
-	EvRLTEvict            = probe.EvRLTEvict
-	EvTimeAccess          = probe.EvTimeAccess
-	EvTimeTLBMiss         = probe.EvTimeTLBMiss
-	EvTimeBusWait         = probe.EvTimeBusWait
-	EvTimeWBStall         = probe.EvTimeWBStall
-	EvTimeCtxSwitch       = probe.EvTimeCtxSwitch
-)
 
 // Cycle accounting: a CycleEngine attached through Config.Cycles measures
 // per-CPU access times from the simulation itself — each reference charged
@@ -294,82 +204,37 @@ type (
 	CycleEngine = cycles.Engine
 	// CycleParams are its latency inputs, in integer cycles.
 	CycleParams = cycles.Params
-	// CycleBreakdown partitions an agent's cycles by what they were
-	// spent on.
-	CycleBreakdown = cycles.Breakdown
-	// AgentTiming is one agent's measured clock, references and breakdown.
-	AgentTiming = cycles.AgentTiming
 )
 
 // NewCycleEngine creates a cycle engine; pr may be nil (no timing events).
 func NewCycleEngine(p CycleParams, pr *Probe) (*CycleEngine, error) { return cycles.New(p, pr) }
 
-// DefaultCycleParams returns the paper's latency scaling (t1=1, t2=4,
-// tm=20) with no contention: measurements reproduce the Section 4 closed
-// form exactly.
-func DefaultCycleParams() CycleParams { return cycles.DefaultParams() }
-
-// ContentionCycleParams returns DefaultCycleParams plus a contended bus.
+// ContentionCycleParams returns the paper's latency scaling (t1=1, t2=4,
+// tm=20) plus a contended bus.
 func ContentionCycleParams() CycleParams { return cycles.ContentionParams() }
 
-// Online auditing: an Auditor attached through Config.Audit snapshots the
-// whole machine every N references (and on demand) and re-verifies the
-// structural invariants the paper's correctness argument rests on —
-// inclusion, single first-level copy per physical block, pointer
+// Auditor drives online auditing: attached through Config.Audit, it
+// snapshots the whole machine every N references (and on demand) and
+// re-verifies the structural invariants the paper's correctness argument
+// rests on — inclusion, single first-level copy per physical block, pointer
 // reciprocity, buffer-bit bijection, dirty-bit consistency, swapped-valid
 // legality, coherence exclusivity, and translation agreement. A nil Auditor
 // in Config disables auditing; the hot path then pays one branch.
-type (
-	// Auditor drives periodic and on-demand invariant checks.
-	Auditor = audit.Auditor
-	// AuditSnapshot is a diffable point-in-time copy of the machine state.
-	AuditSnapshot = audit.Snapshot
-	// AuditViolation is one structural inconsistency found by a check.
-	AuditViolation = audit.Violation
-	// AuditInvariant identifies which checked property a violation breaks.
-	AuditInvariant = audit.Invariant
-)
+type Auditor = audit.Auditor
 
 // NewAuditor creates an auditor that audits every n references; n = 0
 // audits on demand only (Auditor.Audit).
 func NewAuditor(n uint64) *Auditor { return audit.New(n) }
 
-// Live monitoring: latency histograms fed by the cycle engine
-// (CycleEngine.SetLatencies), occupancy summaries computed from audit
-// snapshots, and an HTTP server exposing both while a run is in flight.
-type (
-	// LatencyHistogram is a fixed-bucket distribution of cycle counts.
-	LatencyHistogram = monitor.Histogram
-	// Latencies holds per-CPU latency histograms, one set per kind.
-	Latencies = monitor.Latencies
-	// LatencyKind names one measured distribution ("access", "bus-wait",
-	// "wb-drain", "wb-stall").
-	LatencyKind = monitor.LatencyKind
-	// MonitorServer serves /metrics, /snapshot, /state, expvar and pprof.
-	MonitorServer = monitor.Server
-	// MonitorState is one published view of a running simulation.
-	MonitorState = monitor.State
-	// OccupancySummary describes how full one cache's sets are.
-	OccupancySummary = monitor.OccupancySummary
-)
+// Latencies holds per-CPU latency histograms fed by the cycle engine
+// (CycleEngine.SetLatencies), one set per measured kind.
+type Latencies = monitor.Latencies
 
-// The measured latency distributions.
-const (
-	LatAccess  = monitor.LatAccess
-	LatBusWait = monitor.LatBusWait
-	LatWBDrain = monitor.LatWBDrain
-	LatWBStall = monitor.LatWBStall
-)
+// LatAccess names the per-reference access-time distribution.
+const LatAccess = monitor.LatAccess
 
 // NewLatencies pre-sizes a latency collector for the given CPU count.
 func NewLatencies(cpus int) *Latencies { return monitor.NewLatencies(cpus) }
-
-// StartMonitor serves live monitoring endpoints on addr (":0" picks a
-// port); publish states with MonitorServer.Publish.
-func StartMonitor(addr string) (*MonitorServer, error) { return monitor.Start(addr) }
-
-// Occupancy computes per-cache occupancy summaries from an audit snapshot.
-func Occupancy(snap *AuditSnapshot) []OccupancySummary { return monitor.Occupancy(snap) }
 
 // Telemetry: causal span tracing, post-mortem flight recording, and
 // cycle attribution, all riding the probe event stream (attach any of them
@@ -381,8 +246,6 @@ func Occupancy(snap *AuditSnapshot) []OccupancySummary { return monitor.Occupanc
 type (
 	// SpanTracer samples 1-in-N references into causal span trees.
 	SpanTracer = telemetry.Tracer
-	// TraceSpan is one node of a causal span tree.
-	TraceSpan = telemetry.Span
 	// SpanExporter consumes completed span trees.
 	SpanExporter = telemetry.SpanExporter
 	// FlightRecorder keeps recent events for post-mortem bundles.
@@ -395,8 +258,6 @@ type (
 	AttributionProfiler = telemetry.Attribution
 	// AttributionConfig configures an AttributionProfiler.
 	AttributionConfig = telemetry.AttrConfig
-	// AttributionReport is the profiler's deterministic summary.
-	AttributionReport = telemetry.AttributionReport
 	// BuildInfo identifies the binary that produced a report or bundle.
 	BuildInfo = telemetry.BuildInfo
 )
@@ -407,10 +268,6 @@ func NewSpanTracer(every uint64, exps ...SpanExporter) *SpanTracer {
 	return telemetry.NewTracer(every, exps...)
 }
 
-// NewOTLPSpanWriter creates a span exporter writing one OTLP-style JSON
-// trace document to w.
-func NewOTLPSpanWriter(w io.Writer) SpanExporter { return telemetry.NewOTLPWriter(w) }
-
 // NewChromeSpanWriter creates a span exporter writing nested Chrome
 // trace_event JSON (chrome://tracing, Perfetto) to w.
 func NewChromeSpanWriter(w io.Writer) SpanExporter { return telemetry.NewChromeSpanWriter(w) }
@@ -419,10 +276,6 @@ func NewChromeSpanWriter(w io.Writer) SpanExporter { return telemetry.NewChromeS
 func NewFlightRecorder(cfg FlightRecorderConfig) *FlightRecorder {
 	return telemetry.NewRecorder(cfg)
 }
-
-// ReadFlightBundle loads and validates a bundle file written by a
-// FlightRecorder.
-func ReadFlightBundle(path string) (*FlightBundle, error) { return telemetry.ReadBundle(path) }
 
 // ParseFlightBundle reads and strictly validates one bundle document.
 func ParseFlightBundle(r io.Reader) (*FlightBundle, error) { return telemetry.ParseBundle(r) }
