@@ -66,7 +66,21 @@ trap 'rm -rf "$tmp"' EXIT
 echo "== golden experiment output (scale 0.05)"
 go run ./cmd/experiments -run all -scale 0.05 > "$tmp/experiments.out"
 sed -e 1d -e '/^--- .* done in /d' "$tmp/experiments.out" > "$tmp/experiments.golden"
-cmp testdata/experiments_scale0.05.golden "$tmp/experiments.golden"
+if ! cmp testdata/experiments_scale0.05.golden "$tmp/experiments.golden"; then
+    # Name the site: the experiment holding the first differing line, then
+    # that line from each side.
+    awk 'NR == FNR { want[FNR] = $0; n = FNR; next }
+        { m = FNR }
+        FNR > n || $0 != want[FNR] { at = FNR; got = $0; exit }
+        /^=== / { hdr = $0 }
+        END {
+            if (!at) { at = m + 1; got = "<end of file>" }
+            print "first difference in: " (hdr != "" ? hdr : "(before the first experiment)")
+            print "  line " at " golden: " (at <= n ? want[at] : "<end of file>")
+            print "  line " at " now:    " got
+        }' testdata/experiments_scale0.05.golden "$tmp/experiments.golden" >&2
+    exit 1
+fi
 
 # Sharded execution must agree with the sequential run: exact mode is
 # byte-identical (every boundary checkpoint-verified inside vrsim), and a

@@ -36,9 +36,7 @@ func run(preset string, scale float64, format, out string, seed int64) error {
 	if err != nil {
 		return err
 	}
-	if scale != 1 {
-		cfg = cfg.Scaled(scale)
-	}
+	cfg = cfg.Scaled(scale)
 	if seed != 0 {
 		cfg.Seed = seed
 	}

@@ -66,6 +66,16 @@ type Params struct {
 // measures exactly the Section 4 equation.
 func DefaultParams() Params { return Params{T1: 1, T2: 4, TM: 20} }
 
+// TimedDefaults is the parameter set a timed run starts from (vrsim's
+// -timed flag defaults, a timed job's unset params): DefaultParams with bus
+// queueing charged to the requester. The bus occupancies stay zero, so no
+// queue forms until a caller sets one.
+func TimedDefaults() Params {
+	p := DefaultParams()
+	p.Contention = true
+	return p
+}
+
 // ContentionParams returns DefaultParams plus a contended bus: a memory
 // fill occupies the bus for most of the memory latency, control broadcasts
 // and write-back drains for a few cycles each.

@@ -9,7 +9,10 @@
 //
 //   - config.go — the job-submission decoder and validator (the fuzz
 //     surface: every byte that crosses the HTTP boundary goes through
-//     DecodeConfig)
+//     DecodeConfig). It owns the service bounds; machine defaults,
+//     legality and labels are system.Spec's (MachineSpec is that type),
+//     and timing defaults are cycles.TimedDefaults, shared with vrsim and
+//     the autotuner.
 //   - manager.go — the worker pool, job registry and on-disk state
 //   - run.go — the executors: the checkpointable simulation loop shared by
 //     run and sweep jobs, and the autotune wrapper
@@ -27,6 +30,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -78,7 +82,7 @@ type Config struct {
 	Deadline string `json:"deadline,omitempty"`
 
 	// Timed attaches the cycle engine; Params overrides its latencies
-	// (default cycles.DefaultParams with contention enabled).
+	// (default cycles.TimedDefaults).
 	Timed  bool       `json:"timed,omitempty"`
 	Params *TimedSpec `json:"params,omitempty"`
 
@@ -87,35 +91,12 @@ type Config struct {
 	Autotune *AutotuneSpec `json:"autotune,omitempty"` // autotune: nil selects the paper grammar
 }
 
-// MachineSpec is one machine configuration in submission form. Zero fields
-// take the paper defaults (16K direct-mapped L1 with 16-byte blocks, 256K
-// direct-mapped L2 with 32-byte blocks, 64x2 TLB, depth-1 write buffer,
-// LRU). The CPU count and page size always come from the preset: the trace
-// stream fixes both.
-type MachineSpec struct {
-	Label string `json:"label,omitempty"`
-	Org   string `json:"org,omitempty"` // vr | rr | rrnoincl | rlt | vr-wt | rr-wt
-
-	L1Size  uint64 `json:"l1Size,omitempty"`
-	L1Assoc int    `json:"l1Assoc,omitempty"`
-	L1Block uint64 `json:"l1Block,omitempty"`
-	Split   bool   `json:"split,omitempty"`
-
-	L2Size  uint64 `json:"l2Size,omitempty"`
-	L2Assoc int    `json:"l2Assoc,omitempty"`
-	L2Block uint64 `json:"l2Block,omitempty"`
-
-	TLBEntries    int    `json:"tlbEntries,omitempty"`
-	TLBAssoc      int    `json:"tlbAssoc,omitempty"`
-	WriteBufDepth int    `json:"writeBufDepth,omitempty"`
-	Policy        string `json:"policy,omitempty"` // lru | fifo | random
-
-	// Victim inserts a victim cache of that many blocks (any organization);
-	// 0 means none. RLTEntries sizes the "rlt" organization's reverse-lookup
-	// table (0 selects the system default) and is rejected elsewhere.
-	Victim     int `json:"victim,omitempty"`
-	RLTEntries int `json:"rltEntries,omitempty"`
-}
+// MachineSpec is one machine configuration in submission form: zero fields
+// take the paper defaults, and the CPU count and page size always come from
+// the preset (the trace stream fixes both). It is system.Spec, so a job
+// machine, a vrsim command line and an autotune grammar point resolve to a
+// system.Config by the same defaults, legality rules and label.
+type MachineSpec = system.Spec
 
 // TimedSpec overrides the cycle engine's latency parameters.
 type TimedSpec struct {
@@ -244,7 +225,7 @@ func (c *Config) Validate() error {
 			return errf("autotune", "not a field of run jobs")
 		}
 		if c.Machine != nil {
-			if err := c.Machine.validate("machine"); err != nil {
+			if err := validateMachine(c.Machine, "machine"); err != nil {
 				return err
 			}
 		}
@@ -262,7 +243,7 @@ func (c *Config) Validate() error {
 			return errf("machines", "%d configurations exceed the %d limit", len(c.Machines), maxSweepConfigs)
 		}
 		for i := range c.Machines {
-			if err := c.Machines[i].validate(fmt.Sprintf("machines[%d]", i)); err != nil {
+			if err := validateMachine(&c.Machines[i], fmt.Sprintf("machines[%d]", i)); err != nil {
 				return err
 			}
 		}
@@ -295,16 +276,12 @@ func (c *Config) workload() tracegen.Config {
 	if err != nil { // Validate already accepted the preset
 		panic(err)
 	}
-	if s := c.scale(); s != 1 {
-		wl = wl.Scaled(s)
-	}
-	return wl
+	return wl.Scaled(c.scale())
 }
 
 // cycleParams resolves the job's timing parameters.
 func (c *Config) cycleParams() cycles.Params {
-	p := cycles.DefaultParams()
-	p.Contention = true
+	p := cycles.TimedDefaults()
 	if s := c.Params; s != nil {
 		if s.T1 != 0 {
 			p.T1 = s.T1
@@ -342,7 +319,7 @@ func (s *TimedSpec) validate() error {
 	return nil
 }
 
-func (m *MachineSpec) validate(field string) error {
+func validateMachine(m *MachineSpec, field string) error {
 	if len(m.Label) > maxLabelLen {
 		return errf(field+".label", "longer than %d bytes", maxLabelLen)
 	}
@@ -376,100 +353,45 @@ func (m *MachineSpec) validate(field string) error {
 		m.Victim < 0 || m.RLTEntries < 0 {
 		return errf(field, "negative geometry values")
 	}
-	if m.RLTEntries != 0 && m.Org != "rlt" {
-		return errf(field+".rltEntries", "only the rlt organization has a reverse-lookup table")
-	}
-	// Geometry legality (powers of two, set counts, L1 < L2, block ratio)
-	// is checked by building the machine spec through the autotune grammar;
-	// a spec that expands to no legal candidate is rejected there.
-	if _, err := m.build(field, 1, 4096); err != nil {
-		return err
+	// The legality rules (reverse-lookup table only on rlt, L2 block a
+	// multiple of the L1's, power-of-two shapes, L1 < L2) are the Spec's;
+	// the machine's CPU count and page size do not enter them.
+	if _, _, err := m.Machine(1, 0); err != nil {
+		return machineError(field, err)
 	}
 	return nil
 }
 
-// machine is one buildable configuration: the system.Config (without any
-// attached observers) plus its deterministic label.
-type machine struct {
-	label string
-	cfg   system.Config
+// machineError attributes a system.Spec rejection to the submitted field.
+func machineError(field string, err error) *Error {
+	var se *system.SpecError
+	if errors.As(err, &se) && se.Field != "" {
+		field += "." + se.Field
+	}
+	return errf(field, "%v", err)
 }
 
-// build maps the spec to a concrete system.Config by expanding it as a
-// single-point autotune grammar, reusing the grammar's legality rules and
-// label format. cpus and pageSize come from the workload.
-func (m *MachineSpec) build(field string, cpus int, pageSize uint64) (machine, error) {
-	l1Block := m.L1Block
-	if l1Block == 0 {
-		l1Block = 16
-	}
-	l2Block := m.L2Block
-	if l2Block == 0 {
-		l2Block = 2 * l1Block
-	}
-	if l1Block == 0 || l2Block%l1Block != 0 {
-		return machine{}, errf(field+".l2Block", "%d is not a multiple of the L1 block (%d)", l2Block, l1Block)
-	}
-	g := autotune.Grammar{
-		Organizations:  []string{orDefault(m.Org, "vr")},
-		L1Sizes:        []uint64{orDefaultU(m.L1Size, 16<<10)},
-		L1Assocs:       []int{orDefaultI(m.L1Assoc, 1)},
-		L1Block:        l1Block,
-		L2Sizes:        []uint64{orDefaultU(m.L2Size, 256<<10)},
-		L2Assocs:       []int{orDefaultI(m.L2Assoc, 1)},
-		BlockRatios:    []int{int(l2Block / l1Block)},
-		WriteBufDepths: []int{orDefaultI(m.WriteBufDepth, 1)},
-		TLBEntries:     []int{orDefaultI(m.TLBEntries, 64)},
-		TLBAssocs:      []int{orDefaultI(m.TLBAssoc, 2)},
-		Policies:       []string{orDefault(m.Policy, "lru")},
-		VictimEntries:  []int{m.Victim},
-		RLTEntries:     []int{m.RLTEntries},
-	}
-	cands, err := g.Expand(cpus, pageSize)
-	if err != nil {
-		return machine{}, errf(field, "%v", err)
-	}
-	if len(cands) != 1 {
-		return machine{}, errf(field, "does not form a legal machine (check power-of-two sizes, L1 < L2, block ratio)")
-	}
-	cfg := cands[0].Config
-	cfg.Split = m.Split
-	label := m.Label
-	if label == "" {
-		label = cands[0].Label
-		if m.Split {
-			label += "/split"
+// machines resolves the job's machine list — the paper-default machine for
+// a run job without one, the submitted list for sweeps — into configs (no
+// observers attached) and their report labels. Validate has resolved every
+// spec already, so an error here means the config was never validated.
+func (c *Config) machines(wl tracegen.Config) ([]system.Config, []string, error) {
+	specs := c.Machines
+	if c.Kind == KindRun {
+		specs = []MachineSpec{{}}
+		if c.Machine != nil {
+			specs[0] = *c.Machine
 		}
 	}
-	return machine{label: label, cfg: cfg}, nil
-}
-
-// machines expands the job's machine list: one entry for run jobs (the
-// paper-default machine when none is given), the submitted list for sweeps.
-func (c *Config) machines(wl tracegen.Config) ([]machine, error) {
-	switch c.Kind {
-	case KindRun:
-		spec := c.Machine
-		if spec == nil {
-			spec = &MachineSpec{}
+	cfgs := make([]system.Config, len(specs))
+	labels := make([]string, len(specs))
+	for i, spec := range specs {
+		var err error
+		if cfgs[i], labels[i], err = spec.Machine(wl.CPUs, wl.PageSize); err != nil {
+			return nil, nil, err
 		}
-		m, err := spec.build("machine", wl.CPUs, wl.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		return []machine{m}, nil
-	case KindSweep:
-		out := make([]machine, 0, len(c.Machines))
-		for i := range c.Machines {
-			m, err := c.Machines[i].build(fmt.Sprintf("machines[%d]", i), wl.CPUs, wl.PageSize)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, m)
-		}
-		return out, nil
 	}
-	return nil, errf("kind", "%q jobs have no machine list", c.Kind)
+	return cfgs, labels, nil
 }
 
 func (a *AutotuneSpec) validate() error {
@@ -548,25 +470,4 @@ func (a *AutotuneSpec) validate() error {
 		return errf("autotune.margin", "must be finite")
 	}
 	return nil
-}
-
-func orDefault(v, d string) string {
-	if v == "" {
-		return d
-	}
-	return v
-}
-
-func orDefaultU(v, d uint64) uint64 {
-	if v == 0 {
-		return d
-	}
-	return v
-}
-
-func orDefaultI(v, d int) int {
-	if v == 0 {
-		return d
-	}
-	return v
 }

@@ -179,47 +179,75 @@ func TestAutotuneJobLifecycle(t *testing.T) {
 	}
 }
 
+// illegalMachine is the message for a machine whose fields are each in
+// bounds but do not form a legal hierarchy together.
+const illegalMachine = "does not form a legal machine (check power-of-two sizes, L1 < L2, block ratio)"
+
 func TestInvalidConfigsRejected(t *testing.T) {
 	c := startService(t, jobs.Options{Workers: 1})
+	// want pins the message byte for byte: clients match on it, and the
+	// machine rows are produced by system.Spec, shared with the command
+	// line and the autotuner.
 	cases := []struct {
 		name   string
 		config string
 		field  string // expected Error.Field ("" = any)
+		want   string // expected Error.Msg
 	}{
-		{"empty", ``, ""},
-		{"not json", `not a json document`, ""},
-		{"trailing data", `{"kind":"run","preset":"pops"} {"more":1}`, ""},
-		{"unknown field", `{"kind":"run","preset":"pops","bogus":1}`, ""},
-		{"missing kind", `{"preset":"pops"}`, "kind"},
-		{"unknown kind", `{"kind":"walk","preset":"pops"}`, "kind"},
-		{"bad preset", `{"kind":"run","preset":"doom"}`, "preset"},
-		{"negative scale", `{"kind":"run","preset":"pops","scale":-1}`, "scale"},
-		{"huge scale", `{"kind":"run","preset":"pops","scale":1e9}`, "scale"},
-		{"bad deadline", `{"kind":"run","preset":"pops","deadline":"soon"}`, "deadline"},
-		{"params without timed", `{"kind":"run","preset":"pops","params":{"tm":30}}`, "params"},
-		{"run with machines", `{"kind":"run","preset":"pops","machines":[{}]}`, "machines"},
-		{"sweep without machines", `{"kind":"sweep","preset":"pops"}`, "machines"},
-		{"sweep with machine", `{"kind":"sweep","preset":"pops","machine":{}}`, "machine"},
-		{"autotune with timed", `{"kind":"autotune","preset":"pops","timed":true}`, "timed"},
-		{"bad org", `{"kind":"run","preset":"pops","machine":{"org":"psycho"}}`, "machine.org"},
-		{"bad policy", `{"kind":"run","preset":"pops","machine":{"policy":"clock"}}`, "machine.policy"},
-		{"illegal geometry", `{"kind":"run","preset":"pops","machine":{"l1Size":12345}}`, "machine"},
-		{"l1 not below l2", `{"kind":"run","preset":"pops","machine":{"l1Size":1048576,"l2Size":65536}}`, "machine"},
-		{"oversized cache", `{"kind":"run","preset":"pops","machine":{"l1Size":1073741824}}`, "machine.l1Size"},
-		{"bad block ratio", `{"kind":"run","preset":"pops","machine":{"l1Block":16,"l2Block":24}}`, "machine.l2Block"},
+		{"empty", ``, "", "parse: EOF"},
+		{"not json", `not a json document`, "", "parse: invalid character 'o' in literal null (expecting 'u')"},
+		{"trailing data", `{"kind":"run","preset":"pops"} {"more":1}`, "", "trailing data after the job document"},
+		{"unknown field", `{"kind":"run","preset":"pops","bogus":1}`, "", `parse: json: unknown field "bogus"`},
+		{"missing kind", `{"preset":"pops"}`, "kind", "required (run, sweep, autotune)"},
+		{"unknown kind", `{"kind":"walk","preset":"pops"}`, "kind", `unknown kind "walk" (run, sweep, autotune)`},
+		{"bad preset", `{"kind":"run","preset":"doom"}`, "preset", `tracegen: unknown preset "doom" (have thor, pops, abaqus)`},
+		{"negative scale", `{"kind":"run","preset":"pops","scale":-1}`, "scale", "must be in (0, 16]"},
+		{"huge scale", `{"kind":"run","preset":"pops","scale":1e9}`, "scale", "must be in (0, 16]"},
+		{"bad deadline", `{"kind":"run","preset":"pops","deadline":"soon"}`, "deadline", `time: invalid duration "soon"`},
+		{"params without timed", `{"kind":"run","preset":"pops","params":{"tm":30}}`, "params",
+			`timing parameters require "timed": true`},
+		{"run with machines", `{"kind":"run","preset":"pops","machines":[{}]}`, "machines", `a run job takes a single "machine"`},
+		{"sweep without machines", `{"kind":"sweep","preset":"pops"}`, "machines", "required: one entry per configuration"},
+		{"sweep with machine", `{"kind":"sweep","preset":"pops","machine":{}}`, "machine", `a sweep job takes a "machines" list`},
+		{"autotune with timed", `{"kind":"autotune","preset":"pops","timed":true}`, "timed",
+			"autotune jobs are always timed; drop the flag"},
+		{"bad org", `{"kind":"run","preset":"pops","machine":{"org":"psycho"}}`, "machine.org",
+			`unknown organization "psycho" (vr, rr, rrnoincl, rlt, vr-wt, rr-wt)`},
+		{"bad policy", `{"kind":"run","preset":"pops","machine":{"policy":"clock"}}`, "machine.policy",
+			`unknown policy "clock" (lru, fifo, random)`},
+		{"illegal geometry", `{"kind":"run","preset":"pops","machine":{"l1Size":12345}}`, "machine", illegalMachine},
+		{"l1 not below l2", `{"kind":"run","preset":"pops","machine":{"l1Size":1048576,"l2Size":65536}}`, "machine",
+			illegalMachine},
+		{"oversized cache", `{"kind":"run","preset":"pops","machine":{"l1Size":1073741824}}`, "machine.l1Size",
+			"1073741824 exceeds the 268435456 limit"},
+		{"bad block ratio", `{"kind":"run","preset":"pops","machine":{"l1Block":16,"l2Block":24}}`, "machine.l2Block",
+			"24 is not a multiple of the L1 block (16)"},
+		{"l2 block below l1", `{"kind":"run","preset":"pops","machine":{"l1Block":32,"l2Block":16}}`, "machine.l2Block",
+			"16 is not a multiple of the L1 block (32)"},
+		{"non-power-of-two ratio", `{"kind":"run","preset":"pops","machine":{"l1Block":16,"l2Block":48}}`, "machine",
+			illegalMachine},
+		{"tlb wider than entries", `{"kind":"run","preset":"pops","machine":{"tlbEntries":2,"tlbAssoc":4}}`, "machine",
+			illegalMachine},
+		{"negative geometry", `{"kind":"run","preset":"pops","machine":{"l1Assoc":-1}}`, "machine", "negative geometry values"},
+		{"rlt entries off rlt", `{"kind":"run","preset":"pops","machine":{"org":"vr","rltEntries":16}}`, "machine.rltEntries",
+			"only the rlt organization has a reverse-lookup table"},
+		{"rlt entries not a power of two", `{"kind":"run","preset":"pops","machine":{"org":"rlt","rltEntries":12}}`, "machine",
+			illegalMachine},
+		{"bad org before oversized cache", `{"kind":"run","preset":"pops","machine":{"org":"psycho","l1Size":1073741824}}`,
+			"machine.org", `unknown organization "psycho" (vr, rr, rrnoincl, rlt, vr-wt, rr-wt)`},
 		{"sweep over limit", func() string {
 			ms := make([]string, 65)
 			for i := range ms {
 				ms[i] = "{}"
 			}
 			return fmt.Sprintf(`{"kind":"sweep","preset":"pops","machines":[%s]}`, strings.Join(ms, ","))
-		}(), "machines"},
+		}(), "machines", "65 configurations exceed the 64 limit"},
 		{"grammar axis too long", fmt.Sprintf(
 			`{"kind":"autotune","preset":"pops","autotune":{"grammar":{"l1Sizes":[%s]}}}`,
-			intList(33)), "autotune.grammar.l1Sizes"},
+			intList(33)), "autotune.grammar.l1Sizes", "33 values exceed the 32 limit"},
 		{"grammar cross-product blowup", fmt.Sprintf(
 			`{"kind":"autotune","preset":"pops","autotune":{"grammar":{"l1Sizes":[%s],"l2Sizes":[%s],"tlbEntries":[%s]}}}`,
-			intList(32), intList(32), intList(32)), "autotune.grammar"},
+			intList(32), intList(32), intList(32)), "autotune.grammar", "cross product exceeds 8192 candidates"},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
@@ -234,6 +262,9 @@ func TestInvalidConfigsRejected(t *testing.T) {
 			}
 			if tc.field != "" && je.Field != tc.field {
 				t.Errorf("field = %q (%s), want %q", je.Field, je.Msg, tc.field)
+			}
+			if je.Msg != tc.want {
+				t.Errorf("message = %q, want %q", je.Msg, tc.want)
 			}
 			if !strings.Contains(err.Error(), "400") {
 				t.Errorf("status in %q is not 400", err)

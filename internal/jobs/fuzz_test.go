@@ -86,7 +86,7 @@ func FuzzJobConfigDecode(f *testing.F) {
 			t.Fatalf("accepted workload has %d refs", wl.TotalRefs)
 		}
 		if cfg.Kind == KindRun || cfg.Kind == KindSweep {
-			ms, err := cfg.machines(wl)
+			ms, _, err := cfg.machines(wl)
 			if err != nil {
 				t.Fatalf("accepted config builds no machines: %v", err)
 			}

@@ -45,12 +45,16 @@ type SweepConfigReport struct {
 // resumed reports byte-identical to uninterrupted ones.
 func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 	wl := j.cfg.workload()
-	machines, err := j.cfg.machines(wl)
+	cfgs, labels, err := j.cfg.machines(wl)
 	if err != nil {
 		return nil, err
 	}
 	timed := j.cfg.Timed
 	params := j.cfg.cycleParams()
+	sigs := make([]string, len(cfgs))
+	for i, cfg := range cfgs {
+		sigs[i] = signature(wl, cfg, i, timed, params)
+	}
 
 	// The progress probe rides machine 0 only: windows feed Status.Window
 	// and the job's persisted time-series through the recorder, and the
@@ -64,9 +68,8 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 		pr.AddSink(telemetry.NewTracer(uint64(m.opt.SpanSampleEvery), j.trace.exporter()))
 	}
 
-	systems := make([]*system.System, len(machines))
-	for i, mc := range machines {
-		cfg := mc.cfg
+	systems := make([]*system.System, len(cfgs))
+	for i, cfg := range cfgs {
 		var p *probe.Probe
 		if i == 0 {
 			p = pr
@@ -82,7 +85,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 		cfg.ProbeEphemeral = p != nil
 		sys, err := system.New(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", mc.label, err)
+			return nil, fmt.Errorf("%s: %w", labels[i], err)
 		}
 		if err := wl.SetupSharedMappings(sys.MMU()); err != nil {
 			return nil, err
@@ -96,7 +99,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 	}
 	var reader trace.Reader = gen
 	var cursor uint64
-	if ck, ok, err := m.loadCheckpoint(j, machines, wl, timed, params, systems); err != nil {
+	if ck, ok, err := m.loadCheckpoint(j, sigs, systems); err != nil {
 		return nil, err
 	} else if ok {
 		cursor = ck
@@ -119,7 +122,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 		if err := ctx.Err(); err != nil {
 			cause := context.Cause(ctx)
 			if errors.Is(cause, errShutdown) {
-				if err := m.saveCheckpoint(j, machines, wl, timed, params, systems, cursor); err != nil {
+				if err := m.saveCheckpoint(j, sigs, systems, cursor); err != nil {
 					return nil, fmt.Errorf("parking checkpoint: %w", err)
 				}
 				// Close any window the reference cursor has fully passed
@@ -139,7 +142,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 		if n > 0 {
 			for i, sys := range systems {
 				if err := sys.ApplyBatch(buf[:n]); err != nil {
-					return nil, fmt.Errorf("%s: %w", machines[i].label, err)
+					return nil, fmt.Errorf("%s: %w", labels[i], err)
 				}
 			}
 			cursor += uint64(n)
@@ -152,7 +155,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 			return nil, rerr
 		}
 		if m.opt.CheckpointEvery > 0 && cursor-lastCk >= uint64(m.opt.CheckpointEvery) {
-			if err := m.saveCheckpoint(j, machines, wl, timed, params, systems, cursor); err != nil {
+			if err := m.saveCheckpoint(j, sigs, systems, cursor); err != nil {
 				return nil, fmt.Errorf("periodic checkpoint: %w", err)
 			}
 			rec.flush()
@@ -188,7 +191,7 @@ func (m *Manager) runSim(ctx context.Context, j *job) ([]byte, error) {
 	}
 	sr := SweepReport{Preset: j.cfg.Preset, Scale: j.cfg.scale()}
 	for i := range results {
-		sr.Configs = append(sr.Configs, SweepConfigReport{Label: machines[i].label, Results: results[i]})
+		sr.Configs = append(sr.Configs, SweepConfigReport{Label: labels[i], Results: results[i]})
 	}
 	return marshalReport(sr)
 }
@@ -244,8 +247,8 @@ func marshalReport(v any) ([]byte, error) {
 // signature fingerprints machine i of a job the way cmd/vrsim fingerprints
 // a run: workload identity plus every state-shaping machine parameter, with
 // the attached observers stripped.
-func signature(wl tracegen.Config, mc machine, idx int, timed bool, p cycles.Params) string {
-	s := mc.cfg
+func signature(wl tracegen.Config, cfg system.Config, idx int, timed bool, p cycles.Params) string {
+	s := cfg
 	s.Probe, s.Cycles, s.Audit, s.Tracer = nil, nil, nil, nil
 	s.ProbeEphemeral = false
 	return fmt.Sprintf("%s|machine[%d]=%+v|timed=%v|cycles=%+v", wl.Signature(), idx, s, timed, p)
@@ -271,8 +274,7 @@ func skipRecords(r trace.Reader, cursor uint64) (trace.Reader, error) {
 //	uvarint length + checkpoint.Checkpoint.Encode bytes.
 var ckMagic = []byte("VRJOBS1\n")
 
-func (m *Manager) saveCheckpoint(j *job, machines []machine, wl tracegen.Config,
-	timed bool, p cycles.Params, systems []*system.System, cursor uint64) error {
+func (m *Manager) saveCheckpoint(j *job, sigs []string, systems []*system.System, cursor uint64) error {
 	var out bytes.Buffer
 	out.Write(ckMagic)
 	var tmp [binary.MaxVarintLen64]byte
@@ -280,7 +282,7 @@ func (m *Manager) saveCheckpoint(j *job, machines []machine, wl tracegen.Config,
 	put(cursor)
 	put(uint64(len(systems)))
 	for i, sys := range systems {
-		ck, err := checkpoint.Capture(sys, signature(wl, machines[i], i, timed, p), cursor)
+		ck, err := checkpoint.Capture(sys, sigs[i], cursor)
 		if err != nil {
 			return err
 		}
@@ -292,9 +294,9 @@ func (m *Manager) saveCheckpoint(j *job, machines []machine, wl tracegen.Config,
 }
 
 // loadCheckpoint restores every system from the job's checkpoint container,
-// if one exists, returning the shared cursor.
-func (m *Manager) loadCheckpoint(j *job, machines []machine, wl tracegen.Config,
-	timed bool, p cycles.Params, systems []*system.System) (uint64, bool, error) {
+// if one exists, returning the shared cursor. sigs are the systems'
+// checkpoint signatures.
+func (m *Manager) loadCheckpoint(j *job, sigs []string, systems []*system.System) (uint64, bool, error) {
 	data, err := os.ReadFile(m.checkpointPath(j.id))
 	if errors.Is(err, os.ErrNotExist) {
 		return 0, false, nil
@@ -330,7 +332,7 @@ func (m *Manager) loadCheckpoint(j *job, machines []machine, wl tracegen.Config,
 		if err != nil {
 			return 0, false, fmt.Errorf("jobs: checkpoint entry %d: %w", i, err)
 		}
-		if err := checkpoint.Restore(sys, ck, signature(wl, machines[i], i, timed, p)); err != nil {
+		if err := checkpoint.Restore(sys, ck, sigs[i]); err != nil {
 			return 0, false, err
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -326,5 +327,15 @@ func TestScaledRefsOnly(t *testing.T) {
 	// ~119600/2 cpus / 4100 ≈ 14 switches per cpu.
 	if ch.CtxSwitches < 15 || ch.CtxSwitches > 40 {
 		t.Errorf("switches = %d, want ~28", ch.CtxSwitches)
+	}
+}
+
+// TestScaledOneIsIdentity lets callers apply a scale factor
+// unconditionally: Scaled(1) returns every preset unchanged.
+func TestScaledOneIsIdentity(t *testing.T) {
+	for _, c := range Presets() {
+		if got := c.Scaled(1); !reflect.DeepEqual(got, c) {
+			t.Errorf("%s: Scaled(1) = %+v, want %+v", c.Name, got, c)
+		}
 	}
 }
